@@ -183,8 +183,8 @@ fn main() {
         .max(8);
 
     println!(
-        "serve load, {IMAGE_SIZE}x{IMAGE_SIZE} spectral encode, {conns} connections, \
-         max_inflight {MAX_INFLIGHT}, {}s per rate",
+        "serve load, {IMAGE_SIZE}x{IMAGE_SIZE} encode by model id (pre-loaded model), \
+         {conns} connections, max_inflight {MAX_INFLIGHT}, {}s per rate",
         duration.as_secs()
     );
     println!(

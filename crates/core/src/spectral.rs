@@ -21,20 +21,31 @@ use qn_photonic::clements::clements_decompose;
 use qn_photonic::{Mesh, MeshLayer};
 
 /// Second-moment matrix `S = Σ_i ψ_i ψ_iᵀ` of encoded samples.
+///
+/// Only the upper triangle is accumulated, one contiguous row slice per
+/// nonzero amplitude, then mirrored. That is bit-identical to summing
+/// the full matrix: `xᵢxⱼ = xⱼxᵢ` exactly, and the products the full
+/// sum adds where only the *other* amplitude is zero are `±0`, which
+/// leave an accumulator that starts at `+0` unchanged.
 fn second_moment(inputs: &[Vec<f64>], dim: usize) -> Matrix {
-    let mut s = Matrix::zeros(dim, dim);
+    let mut s = vec![0.0; dim * dim];
     for x in inputs {
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
                 continue;
             }
-            for (j, &xj) in x.iter().enumerate() {
-                let v = s.get(i, j) + xi * xj;
-                s.set(i, j, v);
+            let row = &mut s[i * dim + i..(i + 1) * dim];
+            for (acc, &xj) in row.iter_mut().zip(&x[i..]) {
+                *acc += xi * xj;
             }
         }
     }
-    s
+    for i in 1..dim {
+        for j in 0..i {
+            s[i * dim + j] = s[j * dim + i];
+        }
+    }
+    Matrix::from_vec(dim, dim, s).expect("dim × dim by construction")
 }
 
 /// The PCA-optimal compression rotation: an orthogonal `U` whose rows map

@@ -4,9 +4,21 @@
 //! initialisation of the quantum network. Jacobi is quadratically
 //! convergent and delivers small, fully-orthogonal eigenbases — ideal for
 //! the 16×16…256×256 matrices that arise here.
+//!
+//! Storage: the working matrix is one flat row-major buffer and the
+//! eigenvector accumulator is kept *transposed*, so the row half of each
+//! rotation and the accumulator update are loops over two contiguous
+//! rows; only the column half is strided. The solver sits on the
+//! per-request spectral fit of the codec, whose models are
+//! content-addressed: every floating-point operation runs in a fixed
+//! order (no reassociation, no fused multiply-add), so eigenvalues and
+//! eigenvectors — and every fitted `.qnm` — are bit-for-bit
+//! reproducible. `tests/spectral_fingerprint.rs` pins the output bits;
+//! a faster variant that moves one of them is a different solver.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
+use crate::vector;
 use crate::Result;
 
 const MAX_SWEEPS: usize = 100;
@@ -61,31 +73,32 @@ pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
         ));
     }
 
-    // Symmetrise defensively.
-    let mut m = Matrix::from_fn(n, n, |i, j| 0.5 * (a.get(i, j) + a.get(j, i)));
-    let mut q = Matrix::identity(n);
+    // Symmetrise defensively. `qt` is the accumulator Qᵀ: row k of `qt`
+    // is column k of Q.
+    let mut m = Matrix::from_fn(n, n, |i, j| 0.5 * (a.get(i, j) + a.get(j, i))).into_vec();
+    let mut qt = Matrix::identity(n).into_vec();
 
-    let off = |m: &Matrix| -> f64 {
+    let off = |m: &[f64]| -> f64 {
         let mut s = 0.0;
         for i in 0..n {
-            for j in (i + 1)..n {
-                s += m.get(i, j) * m.get(i, j);
+            for &v in &m[i * n + i + 1..(i + 1) * n] {
+                s += v * v;
             }
         }
         s.sqrt()
     };
-    let scale = m.frobenius_norm().max(1e-300);
+    let scale = vector::norm2(&m).max(1e-300);
 
     let mut sweeps = 0;
     while off(&m) > 1e-14 * scale && sweeps < MAX_SWEEPS {
         for p in 0..n - 1 {
             for qq in (p + 1)..n {
-                let apq = m.get(p, qq);
+                let apq = m[p * n + qq];
                 if apq.abs() <= 1e-300 {
                     continue;
                 }
-                let app = m.get(p, p);
-                let aqq = m.get(qq, qq);
+                let app = m[p * n + p];
+                let aqq = m[qq * n + qq];
                 let tau = (aqq - app) / (2.0 * apq);
                 let t = if tau >= 0.0 {
                     1.0 / (tau + (1.0 + tau * tau).sqrt())
@@ -94,26 +107,17 @@ pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
                 };
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                // M ← Jᵀ M J with J the rotation in the (p,q) plane.
-                for k in 0..n {
-                    let mkp = m.get(k, p);
-                    let mkq = m.get(k, qq);
-                    m.set(k, p, c * mkp - s * mkq);
-                    m.set(k, qq, s * mkp + c * mkq);
+                // M ← Jᵀ M J with J the rotation in the (p,q) plane:
+                // columns p and q first, then rows p and q.
+                for row in m.chunks_exact_mut(n) {
+                    let (mkp, mkq) = (row[p], row[qq]);
+                    row[p] = c * mkp - s * mkq;
+                    row[qq] = s * mkp + c * mkq;
                 }
-                for k in 0..n {
-                    let mpk = m.get(p, k);
-                    let mqk = m.get(qq, k);
-                    m.set(p, k, c * mpk - s * mqk);
-                    m.set(qq, k, s * mpk + c * mqk);
-                }
-                // Accumulate eigenvectors: Q ← Q J.
-                for k in 0..n {
-                    let qkp = q.get(k, p);
-                    let qkq = q.get(k, qq);
-                    q.set(k, p, c * qkp - s * qkq);
-                    q.set(k, qq, s * qkp + c * qkq);
-                }
+                rotate_rows(&mut m, n, p, qq, c, s);
+                // Accumulate eigenvectors: Q ← Q J, i.e. rows p and q
+                // of Qᵀ.
+                rotate_rows(&mut qt, n, p, qq, c, s);
             }
         }
         sweeps += 1;
@@ -127,19 +131,27 @@ pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
 
     // Sort descending.
     let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
+    let diag: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
     order.sort_by(|&x, &y| diag[y].total_cmp(&diag[x]));
     let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let mut eigenvectors = Matrix::zeros(n, n);
-    for (dst, &src) in order.iter().enumerate() {
-        for i in 0..n {
-            eigenvectors.set(i, dst, q.get(i, src));
-        }
-    }
+    let eigenvectors = Matrix::from_fn(n, n, |i, dst| qt[order[dst] * n + i]);
     Ok(SymEig {
         eigenvalues,
         eigenvectors,
     })
+}
+
+/// Rotate rows `p < q` of the row-major `n`-column matrix `a` in place:
+/// `(a_p, a_q) ← (c·a_p − s·a_q, s·a_p + c·a_q)`, element by element.
+fn rotate_rows(a: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = a.split_at_mut(q * n);
+    let row_p = &mut head[p * n..(p + 1) * n];
+    let row_q = &mut tail[..n];
+    for (x, y) in row_p.iter_mut().zip(row_q.iter_mut()) {
+        let (xp, xq) = (*x, *y);
+        *x = c * xp - s * xq;
+        *y = s * xp + c * xq;
+    }
 }
 
 #[cfg(test)]

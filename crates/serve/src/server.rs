@@ -196,6 +196,10 @@ struct Shared {
     /// submits its tiles to the batcher. Drives the adaptive batch
     /// flush — a submitter that sees no other incoming request
     /// flushes its batch eagerly instead of paying the deadline.
+    /// An encode whose model is fitted to its own image (no model id)
+    /// shares its batch key only with a request carrying the identical
+    /// image, so it leaves the count as soon as its payload is parsed —
+    /// before the fit — and always flushes at submission.
     /// A peer that stalls (or drips bytes) between header and payload
     /// keeps the count raised only until the frame read deadline
     /// ([`ServerConfig::read_timeout`]) reaps the connection and the
@@ -243,7 +247,9 @@ impl Drop for AdmissionSlot {
 }
 
 /// Holds one unit of the adaptive-flush in-flight count (see
-/// [`Shared::inflight`]) from header arrival until batch submission.
+/// [`Shared::inflight`]) from header arrival until batch submission
+/// (or, for an encode fitted to its own image, until its payload is
+/// parsed).
 /// Owned (`Arc`) rather than borrowed so it can travel from the
 /// reactor thread into a worker's job; every exit path — submission,
 /// pre-submit error, reaped or disconnected connection — releases the
@@ -287,7 +293,8 @@ struct Job {
     frame_done_at: Instant,
     admission: AdmissionSlot,
     /// The adaptive-flush count acquired at header time, released by
-    /// the handler at batch submission (mesh-bound opcodes only).
+    /// the handler at batch submission — or at parse time for an
+    /// encode fitted to its own image (mesh-bound opcodes only).
     mesh_guard: Option<MeshInflightGuard>,
 }
 
@@ -1208,9 +1215,10 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
 /// Route one well-framed request; every failure comes back typed.
 /// `inflight` is the request's adaptive-flush count guard (held only
 /// by mesh-bound opcodes) — the encode/decode handlers release it at
-/// submission time, everything else drops it on entry. `payload` is
-/// the request body with any trace-context prefix already stripped;
-/// `tb` is the request's span builder (`None` unless sampled).
+/// submission time (at parse time when an encode fits its own model),
+/// everything else drops it on entry. `payload` is the request body
+/// with any trace-context prefix already stripped; `tb` is the
+/// request's span builder (`None` unless sampled).
 fn dispatch(
     shared: &Shared,
     op: Option<Opcode>,
@@ -1280,7 +1288,7 @@ fn handle_trace(shared: &Shared, payload: &[u8]) -> Result<(Opcode, Vec<u8>)> {
 fn handle_encode(
     shared: &Shared,
     payload: &[u8],
-    inflight: Option<MeshInflightGuard>,
+    mut inflight: Option<MeshInflightGuard>,
     tb: &mut Option<TraceBuilder>,
 ) -> Result<(Opcode, Vec<u8>)> {
     let parse_span = tb.as_mut().map(|b| b.begin(SpanId::ROOT, "parse"));
@@ -1288,9 +1296,12 @@ fn handle_encode(
     if let (Some(b), Some(s)) = (tb.as_mut(), parse_span) {
         b.end(s);
     }
-    let codec: Arc<Codec> = if req.flags & ENC_FLAG_USE_MODEL_ID != 0 {
-        shared.store.get(req.model_id)?
-    } else {
+    let fitted = req.flags & ENC_FLAG_USE_MODEL_ID == 0;
+    let codec: Arc<Codec> = if fitted {
+        // The model about to be fitted is this request's own: only a
+        // request with the identical image could join its batch, so it
+        // stops counting as incoming before the fit rather than after.
+        drop(inflight.take());
         let spectral_span = tb.as_mut().map(|b| b.begin(SpanId::ROOT, "spectral"));
         let t = Instant::now();
         let codec = Arc::new(Codec::spectral_for_image(
@@ -1305,6 +1316,8 @@ fn handle_encode(
             b.end(s);
         }
         codec
+    } else {
+        shared.store.get(req.model_id)?
     };
     let opts = CodecOptions {
         tile_size: req.tile_size as usize,
@@ -1314,7 +1327,7 @@ fn handle_encode(
         backend: shared.config.backend,
         entropy: req.entropy,
     };
-    let eager = submitting_alone(shared, inflight);
+    let eager = fitted || submitting_alone(shared, inflight);
     let (bytes, _, timings) = shared
         .batcher
         .encode_hinted_traced(&codec, &req.image, &opts, eager, tb)?;
@@ -1333,6 +1346,8 @@ fn handle_encode(
 /// flushes eagerly — so a solo client never pays the deadline, and in
 /// overlapping pairs the *last* submitter flushes the merged group
 /// (the count it waited on was released by the earlier submitter).
+/// An encode that fits its own model skips this test: it released
+/// its count at parse time and always flushes at submission.
 /// Racing is benign in both directions: a header arriving just after
 /// the load only loses one coalescing opportunity, never correctness
 /// (backends are bit-identical per vector regardless of batch

@@ -7,7 +7,7 @@
 use qn_backend::BackendKind;
 use qn_codec::model::encode_model;
 use qn_codec::{info, Codec, CodecOptions};
-use qn_image::datasets;
+use qn_image::{datasets, GrayImage};
 use qn_serve::client::{model_encode_request, spectral_encode_request};
 use qn_serve::{spawn, Client, ServerConfig, ServerHandle};
 use std::time::Duration;
@@ -30,6 +30,20 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
         .join(format!("{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// `LOAD_MODEL` the spectral fit of `img` and return the codec, its zoo
+/// id and zoo-resolved options (no inline model). Requests naming a zoo
+/// model are the ones the adaptive flush governs: an encode that fits
+/// its own model always flushes at submission.
+fn load_zoo_model(client: &mut Client, img: &GrayImage) -> (Codec, u64, CodecOptions) {
+    let opts = CodecOptions {
+        inline_model: false,
+        ..CodecOptions::default()
+    };
+    let codec = Codec::spectral_for_image(img, opts.tile_size, 8).unwrap();
+    let id = client.load_model(&encode_model(codec.model())).unwrap();
+    (codec, id, opts)
 }
 
 #[test]
@@ -153,16 +167,15 @@ fn solo_requests_flush_adaptively_well_under_the_deadline() {
     })
     .unwrap();
     let img = datasets::grayscale_blobs(1, 24, 24, 31).remove(0);
-    let opts = CodecOptions::default();
-    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (codec, id, opts) = load_zoo_model(&mut client, &img);
     let offline = codec.encode_image(&img, &opts).unwrap();
     let offline_img = codec.decode_bytes(&offline).unwrap();
 
-    let mut client = Client::connect(server.addr()).unwrap();
     for round in 0..3 {
         let t0 = std::time::Instant::now();
         let bytes = client
-            .encode(&spectral_encode_request(&img, &opts, 8))
+            .encode(&model_encode_request(&img, &opts, id))
             .unwrap();
         let decoded = client.decode(&bytes).unwrap();
         let elapsed = t0.elapsed();
@@ -195,8 +208,7 @@ fn overlapping_closed_loop_clients_never_pay_the_full_deadline() {
     })
     .unwrap();
     let img = datasets::grayscale_blobs(1, 24, 24, 61).remove(0);
-    let opts = CodecOptions::default();
-    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
+    let (codec, id, opts) = load_zoo_model(&mut Client::connect(server.addr()).unwrap(), &img);
     let offline = codec.encode_image(&img, &opts).unwrap();
 
     let addr = server.addr();
@@ -211,7 +223,7 @@ fn overlapping_closed_loop_clients_never_pay_the_full_deadline() {
                 let mut client = Client::connect(addr).expect("connect");
                 for round in 0..rounds {
                     let bytes = client
-                        .encode(&spectral_encode_request(&img, &opts, 8))
+                        .encode(&model_encode_request(&img, &opts, id))
                         .unwrap_or_else(|e| panic!("worker {worker} round {round}: {e}"));
                     assert_eq!(bytes, offline, "worker {worker} round {round}");
                 }
@@ -286,6 +298,20 @@ fn every_entropy_coder_round_trips_byte_identically_over_the_wire() {
     }
 }
 
+/// A full 16-byte ENCODE frame header promising a 4096-byte payload:
+/// sent alone, it raises the adaptive-flush gauge until the connection
+/// is reaped.
+fn stalled_encode_header() -> Vec<u8> {
+    let mut header = Vec::with_capacity(16);
+    header.extend_from_slice(b"QNF1");
+    header.push(1); // protocol version
+    header.push(0x01); // ENCODE
+    header.extend_from_slice(&0u16.to_le_bytes()); // status
+    header.extend_from_slice(&7u32.to_le_bytes()); // request id
+    header.extend_from_slice(&4096u32.to_le_bytes()); // payload length
+    header
+}
+
 #[test]
 fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
     // A peer that sends an ENCODE frame header and then stalls used to
@@ -306,16 +332,10 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
     })
     .unwrap();
 
-    // The stalling peer: a full 16-byte ENCODE header promising a
-    // 4096-byte payload that never comes.
+    // The stalling peer: a full ENCODE header promising a payload that
+    // never comes.
     let mut stalled = std::net::TcpStream::connect(server.addr()).unwrap();
-    let mut header = Vec::with_capacity(16);
-    header.extend_from_slice(b"QNF1");
-    header.push(1); // protocol version
-    header.push(0x01); // ENCODE
-    header.extend_from_slice(&0u16.to_le_bytes()); // status
-    header.extend_from_slice(&7u32.to_le_bytes()); // request id
-    header.extend_from_slice(&4096u32.to_le_bytes()); // payload length
+    let header = stalled_encode_header();
     stalled.write_all(&header).unwrap();
     stalled.flush().unwrap();
 
@@ -334,14 +354,13 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
 
     // ... and a fresh client is solo again: eager flush, not deadline.
     let img = datasets::grayscale_blobs(1, 24, 24, 43).remove(0);
-    let opts = CodecOptions::default();
-    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
-    let offline = codec.encode_image(&img, &opts).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
+    let (codec, id, opts) = load_zoo_model(&mut client, &img);
+    let offline = codec.encode_image(&img, &opts).unwrap();
     for round in 0..2 {
         let t0 = std::time::Instant::now();
         let bytes = client
-            .encode(&spectral_encode_request(&img, &opts, 8))
+            .encode(&model_encode_request(&img, &opts, id))
             .unwrap();
         let elapsed = t0.elapsed();
         assert_eq!(bytes, offline, "round {round}");
@@ -382,12 +401,95 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
     // And the gauge is free again.
     let t0 = std::time::Instant::now();
     let bytes = client
-        .encode(&spectral_encode_request(&img, &opts, 8))
+        .encode(&model_encode_request(&img, &opts, id))
         .unwrap();
     assert_eq!(bytes, offline);
     assert!(
         t0.elapsed() < deadline / 2,
         "dripper reaped but the in-flight gauge is still pinned"
+    );
+}
+
+#[test]
+fn spectral_encodes_flush_at_submission_while_a_header_holds_the_gauge() {
+    // A stalled peer's ENCODE header raises the adaptive-flush gauge
+    // and keeps it raised (the read timeout is far away). A zoo request
+    // now waits out the 2 s deadline for a batch-mate that might come;
+    // an encode that fits a model to its own image has no batch-mate
+    // to wait for, so it flushes at submission regardless of the gauge.
+    use std::io::Write as _;
+    let deadline = Duration::from_secs(2);
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        batch_deadline: deadline,
+        read_timeout: Duration::from_secs(60),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut stalled = std::net::TcpStream::connect(server.addr()).unwrap();
+    stalled.write_all(&stalled_encode_header()).unwrap();
+    stalled.flush().unwrap();
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let flushes = |client: &mut Client, cause: &str| {
+        let json = client.stats().unwrap();
+        stat_int(&json, &format!("batch_flushes_total{{cause={cause}}}"))
+    };
+    // The header is registered once the gauge reads 1.
+    let t0 = std::time::Instant::now();
+    while stat_int(&client.stats().unwrap(), "serve_inflight_requests") == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "header never counted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (eager0, deadline0) = (
+        flushes(&mut client, "eager"),
+        flushes(&mut client, "deadline"),
+    );
+
+    let img = datasets::grayscale_blobs(1, 24, 24, 71).remove(0);
+    let opts = CodecOptions::default();
+    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
+    let offline = codec.encode_image(&img, &opts).unwrap();
+
+    let t0 = std::time::Instant::now();
+    let bytes = client
+        .encode(&spectral_encode_request(&img, &opts, 8))
+        .unwrap();
+    let took = t0.elapsed();
+    assert_eq!(bytes, offline, "spectral encode bytes");
+    assert!(
+        took < deadline / 2,
+        "spectral encode took {took:?} while a header held the gauge — \
+         a per-request fit waited for batch-mates"
+    );
+    assert_eq!(
+        flushes(&mut client, "eager"),
+        eager0 + 1,
+        "the fitted pass flushes eagerly"
+    );
+    assert_eq!(
+        flushes(&mut client, "deadline"),
+        deadline0,
+        "the fitted pass does not wait"
+    );
+
+    // The gauge really is held: a zoo request still coalesces by
+    // deadline, exactly as before.
+    let (zoo_codec, id, zoo_opts) = load_zoo_model(&mut client, &img);
+    let t0 = std::time::Instant::now();
+    let bytes = client
+        .encode(&model_encode_request(&img, &zoo_opts, id))
+        .unwrap();
+    assert!(t0.elapsed() >= deadline, "zoo request skipped the deadline");
+    assert_eq!(bytes, zoo_codec.encode_image(&img, &zoo_opts).unwrap());
+    assert_eq!(flushes(&mut client, "deadline"), deadline0 + 1);
+    assert_eq!(
+        stat_int(&client.stats().unwrap(), "serve_inflight_requests"),
+        1,
+        "only the stalled header is counted"
     );
 }
 
